@@ -3,180 +3,21 @@ permutation-conditional couplings, plus mapping analysis and a coherent-bus
 capacity model.
 """
 
-from .catalog import (
-    QUBIT_COMBINED_TABLE,
-    QUBIT_ENTANGLING_TABLE,
-    QUBIT_LOCAL_TABLE,
-    QUTRIT_ENTANGLING_TABLE,
-    QUTRIT_LOCAL_TABLE,
-    QUTRIT_MAXIMAL_TABLE_AS_TRANSCRIBED,
-    QUTRIT_SHIFT_TABLE,
-    canonical_spec,
-    corrupted_cross_party_spec,
-    corrupted_qutrit_spec,
-    cyclic_set,
-    diff_tables,
-    named_operator,
-    qutrit_y,
-)
-from .cvbus import (
-    CapacityBound,
-    CoherentBusSpec,
-    coherent_overlap,
-    max_dimension,
-    qubit_capacity,
-    rotate_label,
-    sweep,
-    sweep_csv,
-)
-from .mappings import (
-    DEFAULT_SEARCH_BUDGET,
-    InteractionSpec,
-    InvalidInteractionError,
-    MappingClass,
-    PreMeasurementMatrix,
-    SearchHit,
-    SearchResult,
-    block_criteria,
-    classify_mapping,
-    factor_composite,
-    is_locally_factorizable,
-    is_maximally_entangling,
-    outcome_permutation,
-    premeasurement_matrix,
-    search_sets,
-    strip_local_factor,
-)
-from .perms import (
-    CycleParseError,
-    OperatorSet,
-    Permutation,
-    ValidityReport,
-    build_hv_sets,
-    build_shift_sets,
-    bus_registers,
-    combined_operators,
-    compose,
-    derangement_count,
-    digits_to_label,
-    enumerate_derangements,
-    format_cycles,
-    hs_inner,
-    identity,
-    is_derangement,
-    label_digits,
-    parse_cycles,
-    registers_to_label,
-    validate_interaction_sets,
-)
-from .protocol import (
-    Correction,
-    ProtocolTrace,
-    RepeatStats,
-    derive_feedforward,
-    repeat_until_entangled,
-    run_teleport,
-    run_transfer,
-    target_gate_label,
-)
-from .states import (
-    MeasurementRecord,
-    StateVector,
-    ZeroProbabilityError,
-    apply_conditional,
-    apply_label_permutation,
-    apply_local,
-    basis_state,
-    fidelity,
-    make_state,
-    measure,
-    random_state,
-    reduced_purity,
-    tensor,
-    uniform_state,
-)
+from . import catalog, cvbus, mappings, perms, protocol, states
+from .catalog import *  # noqa: F403
+from .cvbus import *  # noqa: F403
+from .mappings import *  # noqa: F403
+from .perms import *  # noqa: F403
+from .protocol import *  # noqa: F403
+from .states import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CapacityBound",
-    "CoherentBusSpec",
-    "Correction",
-    "CycleParseError",
-    "DEFAULT_SEARCH_BUDGET",
-    "InteractionSpec",
-    "InvalidInteractionError",
-    "MappingClass",
-    "MeasurementRecord",
-    "OperatorSet",
-    "Permutation",
-    "PreMeasurementMatrix",
-    "ProtocolTrace",
-    "QUBIT_COMBINED_TABLE",
-    "QUBIT_ENTANGLING_TABLE",
-    "QUBIT_LOCAL_TABLE",
-    "QUTRIT_ENTANGLING_TABLE",
-    "QUTRIT_LOCAL_TABLE",
-    "QUTRIT_MAXIMAL_TABLE_AS_TRANSCRIBED",
-    "QUTRIT_SHIFT_TABLE",
-    "RepeatStats",
-    "SearchHit",
-    "SearchResult",
-    "StateVector",
-    "ValidityReport",
-    "ZeroProbabilityError",
-    "apply_conditional",
-    "apply_label_permutation",
-    "apply_local",
-    "basis_state",
-    "block_criteria",
-    "build_hv_sets",
-    "build_shift_sets",
-    "bus_registers",
-    "canonical_spec",
-    "classify_mapping",
-    "coherent_overlap",
-    "combined_operators",
-    "compose",
-    "corrupted_cross_party_spec",
-    "corrupted_qutrit_spec",
-    "cyclic_set",
-    "derangement_count",
-    "derive_feedforward",
-    "diff_tables",
-    "digits_to_label",
-    "enumerate_derangements",
-    "factor_composite",
-    "fidelity",
-    "format_cycles",
-    "hs_inner",
-    "identity",
-    "is_derangement",
-    "is_locally_factorizable",
-    "is_maximally_entangling",
-    "label_digits",
-    "make_state",
-    "max_dimension",
-    "measure",
-    "named_operator",
-    "outcome_permutation",
-    "parse_cycles",
-    "premeasurement_matrix",
-    "qubit_capacity",
-    "qutrit_y",
-    "random_state",
-    "reduced_purity",
-    "registers_to_label",
-    "repeat_until_entangled",
-    "rotate_label",
-    "run_teleport",
-    "run_transfer",
-    "search_sets",
-    "strip_local_factor",
-    "sweep",
-    "sweep_csv",
-    "target_gate_label",
-    "tensor",
-    "uniform_state",
-    "validate_interaction_sets",
+    *catalog.__all__,
+    *cvbus.__all__,
+    *mappings.__all__,
+    *perms.__all__,
+    *protocol.__all__,
+    *states.__all__,
 ]

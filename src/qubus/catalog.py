@@ -14,7 +14,15 @@ from __future__ import annotations
 import re
 
 from .mappings import InteractionSpec
-from .perms import OperatorSet, Permutation, build_hv_sets, compose, parse_cycles
+from .perms import (
+    OperatorSet,
+    Permutation,
+    build_hv_sets,
+    compose,
+    cyclic_set,
+    parse_cycles,
+    shift_power,
+)
 
 __all__ = [
     "QUBIT_COMBINED_TABLE",
@@ -27,7 +35,6 @@ __all__ = [
     "canonical_spec",
     "corrupted_cross_party_spec",
     "corrupted_qutrit_spec",
-    "cyclic_set",
     "diff_tables",
     "named_operator",
     "qutrit_y",
@@ -75,17 +82,8 @@ def named_operator(name: str, d: int, m: int = 2) -> Permutation:
         return qutrit_y(int(match.group(1)), int(match.group(2)), d)
     match = _X_NAME.match(key)
     if match:
-        shift = Permutation(tuple((s + 1) % bus for s in range(bus)))
-        return shift.power(int(match.group(1)))
+        return shift_power(bus, int(match.group(1)))
     return parse_cycles(name, bus)
-
-
-def cyclic_set(generator: Permutation, d: int) -> OperatorSet:
-    """Operator set ``{generator**k : k < d}``; the powers must be distinct."""
-    members = tuple(generator.power(k) for k in range(d))
-    if len({member.mapping for member in members}) != d:
-        raise ValueError("generator powers collide; cannot form a d-member set")
-    return OperatorSet(d, members)
 
 
 def _sets(d: int, *names: str) -> tuple[OperatorSet, ...]:

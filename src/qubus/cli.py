@@ -28,17 +28,26 @@ from .mappings import (
     SEARCH_FAMILIES,
     SEARCH_OBJECTIVES,
     classify_mapping,
-    outcome_permutation,
     premeasurement_matrix,
     search_sets,
 )
 from .perms import CycleParseError, OperatorSet, build_hv_sets, build_shift_sets, format_cycles, identity
 from .protocol import ProtocolTrace, run_teleport, run_transfer
-from .states import StateVector, basis_state, make_state, random_state, uniform_state
+from .states import (
+    DEFAULT_DIMENSION_CAP,
+    StateVector,
+    basis_state,
+    make_state,
+    random_state,
+    uniform_state,
+)
 
 __all__ = ["RunConfig", "main"]
 
 FIDELITY_TOL = 1e-12
+# Largest bus d**m: a party's (D, D) combination table then holds at most
+# DEFAULT_DIMENSION_CAP entries.
+MAX_BUS_DIM = math.isqrt(DEFAULT_DIMENSION_CAP)
 
 _DEFAULTS: dict[str, dict[str, object]] = {
     "simulate": {
@@ -179,9 +188,22 @@ def _parse_party(text: str, d: int, m: int) -> tuple[OperatorSet, ...]:
     return tuple(_parse_slot(slot, d, m) for slot in slots)
 
 
+def _check_bus_dim(d: int, m: int) -> None:
+    """Refuse ``d**m > MAX_BUS_DIM``; the loop stops at the first power past
+    the limit, so a huge ``m`` is never evaluated."""
+    if abs(d) < 2:
+        return
+    bus = 1
+    for _ in range(m):
+        bus *= abs(d)
+        if bus > MAX_BUS_DIM:
+            raise CliError(f"bus dimension {d}**{m} exceeds the limit {MAX_BUS_DIM}")
+
+
 def _build_spec(params: dict[str, object]) -> InteractionSpec:
     d = int(params["d"])
     m = int(params["m"])
+    _check_bus_dim(d, m)
     try:
         spec = InteractionSpec(
             d=d,
@@ -258,6 +280,12 @@ def cmd_simulate(config: RunConfig) -> tuple[str, int]:
     direction = str(params["direction"])
     if direction not in ("transfer", "teleport"):
         raise CliError(f"unknown direction {direction!r}")
+    # Alice measures her qudits and the bus; teleport also holds Bob's.
+    register = spec.bus_dim ** (2 if direction == "transfer" else 3)
+    if register > DEFAULT_DIMENSION_CAP:
+        raise CliError(
+            f"{direction} measures {register} amplitudes, above the limit {DEFAULT_DIMENSION_CAP}"
+        )
     runner = run_transfer if direction == "transfer" else run_teleport
     inputs = _parse_input(
         params["input"] if params["input"] is None else str(params["input"]),
@@ -307,12 +335,10 @@ def cmd_matrix(config: RunConfig) -> tuple[str, int]:
     direction = str(params["direction"])
     try:
         matrix = premeasurement_matrix(spec, direction)
-        mapping = classify_mapping(spec)
-    except (InvalidInteractionError, ValueError) as err:
+    except ValueError as err:
         raise CliError(str(err)) from err
-    outcome_cycles = [
-        format_cycles(outcome_permutation(matrix, label)) for label in range(matrix.size)
-    ]
+    mapping = classify_mapping(matrix if direction == "transfer" else spec)
+    outcome_cycles = [format_cycles(sigma) for sigma in matrix.outcomes]
     if config.output_format == "json":
         payload = {
             "d": spec.d,
@@ -355,10 +381,10 @@ def cmd_search(config: RunConfig) -> tuple[str, int]:
     if objective not in SEARCH_OBJECTIVES:
         raise CliError(f"unknown objective {objective!r}; expected one of {SEARCH_OBJECTIVES}")
     budget = None if params["budget"] is None else int(params["budget"])
+    d, m = int(params["d"]), int(params["m"])
+    _check_bus_dim(d, m)
     try:
-        result = search_sets(
-            int(params["d"]), family, objective, m=int(params["m"]), budget=budget
-        )
+        result = search_sets(d, family, objective, m=m, budget=budget)
     except ValueError as err:
         raise CliError(str(err)) from err
     if config.output_format != "json":
@@ -391,8 +417,13 @@ def _parse_float_list(text: str) -> list[float]:
         if len(pieces) != 3:
             raise CliError(f"range spec {text!r} must be start:stop:step")
         start, stop, step = (float(piece) for piece in pieces)
+        if not all(math.isfinite(x) for x in (start, stop, step)):
+            raise CliError(f"range spec {text!r} must be finite")
         if step <= 0:
             raise CliError("range step must be positive")
+        # The loop below yields about floor((stop + 1e-9 - start) / step) + 1 points.
+        if (stop + 1e-9 - start) / step >= DEFAULT_DIMENSION_CAP:
+            raise CliError(f"range spec {text!r} has more than {DEFAULT_DIMENSION_CAP} points")
         values = []
         current = start
         while current <= stop + 1e-9:
@@ -436,10 +467,11 @@ def cmd_cvbus(config: RunConfig) -> tuple[str, int]:
             raise CliError(f"unsupported format {fmt!r} for cvbus")
         if params["alphas"] is None or params["epsilons"] is None:
             raise CliError("sweep mode needs both --alphas and --epsilons")
-        bounds = sweep(
-            _parse_float_list(str(params["alphas"])),
-            _parse_float_list(str(params["epsilons"])),
-        )
+        alphas = _parse_float_list(str(params["alphas"]))
+        epsilons = _parse_float_list(str(params["epsilons"]))
+        if len(alphas) * len(epsilons) > DEFAULT_DIMENSION_CAP:
+            raise CliError(f"sweep has more than {DEFAULT_DIMENSION_CAP} points")
+        bounds = sweep(alphas, epsilons)
     except ValueError as err:
         raise CliError(str(err)) from err
     fmt = config.output_format or "csv"

@@ -11,17 +11,20 @@ character.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .perms import (
     OperatorSet,
     Permutation,
     ValidityReport,
     build_hv_sets,
-    combined_operators,
     compose,
+    cyclic_set,
     enumerate_derangements,
     identity,
+    shift_power,
     validate_interaction_sets,
 )
 
@@ -36,7 +39,6 @@ __all__ = [
     "block_criteria",
     "classify_mapping",
     "factor_composite",
-    "is_locally_factorizable",
     "is_maximally_entangling",
     "outcome_permutation",
     "premeasurement_matrix",
@@ -114,13 +116,15 @@ class PreMeasurementMatrix:
     in transfer, Alice's in teleport), columns by the preparing party's
     combination; both use composite odometer order.  ``entries[r][c]`` is the
     bus label on that branch.  For a valid spec every row and column is a
-    permutation of the labels (a Latin square).
+    permutation of the labels (a Latin square).  ``outcomes[label]`` is the
+    outcome permutation of that bus label (see :func:`outcome_permutation`).
     """
 
     d: int
     m: int
     direction: str
     entries: tuple[tuple[int, ...], ...]
+    outcomes: tuple[Permutation, ...] = field(repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -133,6 +137,30 @@ class PreMeasurementMatrix:
         return rows_ok and cols_ok
 
 
+def _gather_matrix(
+    d: int, m: int, direction: str, alice: np.ndarray, bob: np.ndarray
+) -> PreMeasurementMatrix:
+    """Matrix and outcome permutations from two valid combination tables.
+
+    Validity makes every column of the entries a permutation of the labels,
+    so one scatter inverts all columns at once.
+    """
+    if direction == "transfer":
+        entries = bob[:, alice[:, 0]]
+    else:
+        entries = alice[:, bob[:, 0]].T
+    size = entries.shape[0]
+    sigma = np.empty_like(entries)
+    sigma[entries, np.arange(size)] = np.arange(size)[:, None]
+    return PreMeasurementMatrix(
+        d,
+        m,
+        direction,
+        tuple(map(tuple, entries.tolist())),
+        tuple(Permutation(tuple(images)) for images in sigma.tolist()),
+    )
+
+
 def premeasurement_matrix(spec: InteractionSpec, direction: str = "transfer") -> PreMeasurementMatrix:
     """Tabulate the bus label for every (preparer, measurer) branch.
 
@@ -141,24 +169,12 @@ def premeasurement_matrix(spec: InteractionSpec, direction: str = "transfer") ->
     teleport Bob couples first, so the entry is ``A_c(B_r(0))``.
 
     Raises:
-        InvalidInteractionError: the spec fails validation or the resulting
-            table is not Latin.
+        InvalidInteractionError: the spec fails validation.
     """
     if direction not in ("transfer", "teleport"):
         raise ValueError(f"unknown direction {direction!r}")
-    spec.validate()
-    alice = combined_operators(spec.alice_sets)
-    bob = combined_operators(spec.bob_sets)
-    if direction == "transfer":
-        entries = tuple(tuple(b(a(0)) for a in alice) for b in bob)
-    else:
-        entries = tuple(tuple(a(b(0)) for a in alice) for b in bob)
-    matrix = PreMeasurementMatrix(spec.d, spec.m, direction, entries)
-    if not matrix.is_latin():
-        raise InvalidInteractionError(
-            "joint", ValidityReport(valid=False, violating_pair=None, fixed_point_counts=())
-        )
-    return matrix
+    alice, bob = spec.validate()
+    return _gather_matrix(spec.d, spec.m, direction, alice.table, bob.table)
 
 
 def outcome_permutation(matrix: PreMeasurementMatrix, bus_label: int) -> Permutation:
@@ -167,17 +183,11 @@ def outcome_permutation(matrix: PreMeasurementMatrix, bus_label: int) -> Permuta
     ``entries[r][c] == bus_label``.
 
     Raises:
-        ValueError: the label is absent from some column (non-Latin input).
+        ValueError: the label is outside the bus.
     """
     if not 0 <= bus_label < matrix.size:
         raise ValueError(f"bus label {bus_label} outside range(0, {matrix.size})")
-    images = []
-    for c in range(matrix.size):
-        hits = [r for r in range(matrix.size) if matrix.entries[r][c] == bus_label]
-        if len(hits) != 1:
-            raise ValueError(f"bus label {bus_label} appears {len(hits)} times in column {c}")
-        images.append(hits[0])
-    return Permutation(tuple(images))
+    return matrix.outcomes[bus_label]
 
 
 def factor_composite(p: Permutation, dims: tuple[int, ...] | list[int]) -> list[Permutation] | None:
@@ -211,17 +221,6 @@ def factor_composite(p: Permutation, dims: tuple[int, ...] | list[int]) -> list[
         if p(composite) != expected:
             return None
     return factors
-
-
-def is_locally_factorizable(p: Permutation, d: int) -> tuple[bool, tuple[Permutation, Permutation] | None]:
-    """Whether a two-subsystem permutation is a product of one permutation per
-    subsystem; returns the factors when it is."""
-    if p.size != d * d:
-        raise ValueError(f"permutation acts on {p.size} labels, expected {d * d}")
-    factors = factor_composite(p, (d, d))
-    if factors is None:
-        return False, None
-    return True, (factors[0], factors[1])
 
 
 def strip_local_factor(p: Permutation, d: int) -> tuple[tuple[Permutation, Permutation], Permutation]:
@@ -319,9 +318,10 @@ def is_maximally_entangling(p: Permutation, d: int) -> bool:
     if p.size != d * d:
         raise ValueError(f"permutation acts on {p.size} labels, expected {d * d}")
     if d == 2:
-        local, _ = is_locally_factorizable(p, d)
-        swapped, _ = is_locally_factorizable(compose(_exchange(d), p), d)
-        return not local and not swapped
+        return (
+            factor_composite(p, (d, d)) is None
+            and factor_composite(compose(_exchange(d), p), (d, d)) is None
+        )
     return all(block_criteria(p, d))
 
 
@@ -357,15 +357,10 @@ def classify_mapping(
     if d is not None and d != matrix.d:
         raise ValueError(f"matrix has subsystem dimension {matrix.d}, not {d}")
     labels = []
-    maximal = True
-    for outcome in range(matrix.size):
-        sigma = outcome_permutation(matrix, outcome)
-        if matrix.m == 2:
-            local, _ = is_locally_factorizable(sigma, matrix.d)
-            maximal = maximal and is_maximally_entangling(sigma, matrix.d)
-        else:
-            local = factor_composite(sigma, (matrix.d,) * matrix.m) is not None
-            maximal = False
+    maximal = matrix.m == 2
+    for sigma in matrix.outcomes:
+        local = factor_composite(sigma, (matrix.d,) * matrix.m) is not None
+        maximal = maximal and is_maximally_entangling(sigma, matrix.d)
         labels.append("local" if local else "entangling")
     if all(label == "local" for label in labels):
         kind = "local"
@@ -393,43 +388,39 @@ class SearchResult:
     budget_exceeded: bool
 
 
-def _cyclic_set(generator: Permutation, d: int) -> OperatorSet | None:
-    members = [generator.power(k) for k in range(d)]
-    if len({m.mapping for m in members}) != d:
-        return None
-    return OperatorSet(d, tuple(members))
+def _cyclic_sets(generators, d: int) -> list[OperatorSet]:
+    """The cyclic sets of those generators whose first ``d`` powers differ."""
+    sets = []
+    for generator in generators:
+        try:
+            sets.append(cyclic_set(generator, d))
+        except ValueError:
+            pass
+    return sets
 
 
-def _party_candidates(d: int, m: int, family: str):
-    """Yield candidate operator-set tuples for one party, deterministic order."""
+def _slot_sets(d: int, m: int, family: str):
+    """A restartable source of candidate operator sets for one qudit slot:
+    a callable returning a fresh iterable, deterministic order."""
     bus = d**m
     if family == "pairwise+cyclic":
         if d != 2 or m != 2:
             raise ValueError("pairwise+cyclic family is defined for d=2, m=2")
-        generators = enumerate_derangements(4)
-        slot_sets = [OperatorSet(2, (identity(4), g)) for g in generators]
-        yield from itertools.product(slot_sets, repeat=m)
+        slot_sets = [OperatorSet(2, (identity(4), g)) for g in enumerate_derangements(4)]
     elif family == "hv_products":
         if m != 2:
             raise ValueError("hv_products family is defined for m=2")
         h, v = (s.members[1] for s in build_hv_sets(d))
-        slot_sets = []
-        for n, k in itertools.product(range(d), repeat=2):
-            if (n, k) == (0, 0):
-                continue
-            generator = compose(v.power(n), h.power(k))
-            opset = _cyclic_set(generator, d)
-            if opset is not None:
-                slot_sets.append(opset)
-        yield from itertools.product(slot_sets, repeat=m)
+        slot_sets = _cyclic_sets(
+            (
+                compose(v.power(n), h.power(k))
+                for n, k in itertools.product(range(d), repeat=2)
+                if (n, k) != (0, 0)
+            ),
+            d,
+        )
     elif family == "shift_powers":
-        shift = Permutation(tuple((s + 1) % bus for s in range(bus)))
-        slot_sets = []
-        for stride in range(1, bus):
-            opset = _cyclic_set(shift.power(stride), d)
-            if opset is not None:
-                slot_sets.append(opset)
-        yield from itertools.product(slot_sets, repeat=m)
+        slot_sets = _cyclic_sets((shift_power(bus, stride) for stride in range(1, bus)), d)
     elif family == "exhaustive":
         generators = enumerate_derangements(bus)
 
@@ -437,9 +428,10 @@ def _party_candidates(d: int, m: int, family: str):
             for choice in itertools.permutations(generators, d - 1):
                 yield OperatorSet(d, (identity(bus),) + tuple(choice))
 
-        yield from _lazy_product(slots, m)
+        return slots
     else:
         raise ValueError(f"unknown family {family!r}; expected one of {SEARCH_FAMILIES}")
+    return lambda: slot_sets
 
 
 def _lazy_product(factory, repeat: int):
@@ -488,19 +480,19 @@ def search_sets(
     if limit < 1:
         raise ValueError("budget must be positive")
 
-    validity_cache: dict[tuple, bool] = {}
+    slots = _slot_sets(d, m, family)
+    reports: dict[tuple, ValidityReport] = {}
 
-    def party_valid(sets: tuple[OperatorSet, ...]) -> bool:
+    def party_report(sets: tuple[OperatorSet, ...]) -> ValidityReport:
         key = tuple(tuple(member.mapping for member in opset.members) for opset in sets)
-        cached = validity_cache.get(key)
-        if cached is None:
-            cached = validate_interaction_sets(sets, d, m).valid
-            validity_cache[key] = cached
-        return cached
+        report = reports.get(key)
+        if report is None:
+            report = reports[key] = validate_interaction_sets(sets, d, m)
+        return report
 
     def candidate_specs():
-        for alice_choice in _party_candidates(d, m, family):
-            for bob_choice in _party_candidates(d, m, family):
+        for alice_choice in _lazy_product(slots, m):
+            for bob_choice in _lazy_product(slots, m):
                 yield alice_choice, bob_choice
 
     hits: list[SearchHit] = []
@@ -511,10 +503,14 @@ def search_sets(
             exceeded = True
             break
         examined += 1
-        if not (party_valid(alice_sets) and party_valid(bob_sets)):
+        alice = party_report(alice_sets)
+        if not alice.valid:
+            continue
+        bob = party_report(bob_sets)
+        if not bob.valid:
             continue
         spec = InteractionSpec(d=d, m=m, alice_sets=alice_sets, bob_sets=bob_sets)
-        mapping = classify_mapping(spec)
+        mapping = classify_mapping(_gather_matrix(d, m, "transfer", alice.table, bob.table))
         keep = (
             objective == "any-valid"
             or (objective == "local" and mapping.kind == "local")

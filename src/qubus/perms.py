@@ -27,6 +27,7 @@ __all__ = [
     "bus_registers",
     "combined_operators",
     "compose",
+    "cyclic_set",
     "derangement_count",
     "digits_to_label",
     "enumerate_derangements",
@@ -37,6 +38,7 @@ __all__ = [
     "label_digits",
     "parse_cycles",
     "registers_to_label",
+    "shift_power",
     "validate_interaction_sets",
 ]
 
@@ -89,12 +91,14 @@ class Permutation:
         return Permutation(tuple(inv))
 
     def power(self, exponent: int) -> "Permutation":
-        """Integer power; negative exponents use the inverse."""
-        base = self.inverse() if exponent < 0 else self
-        result = identity(self.size)
-        for _ in range(abs(exponent)):
-            result = compose(base, result)
-        return result
+        """Integer power; negative exponents use the inverse.  Each label
+        moves ``exponent`` steps along its cycle, so the cost is O(size)
+        whatever the exponent."""
+        images = list(range(self.size))
+        for cycle in self.cycles():
+            for i, s in enumerate(cycle):
+                images[s] = cycle[(i + exponent) % len(cycle)]
+        return Permutation(tuple(images))
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Nontrivial cycles, each starting at its smallest label, ordered by it."""
@@ -247,18 +251,42 @@ class OperatorSet:
         return OperatorSet(self.subsystem_dim, tuple(m.inverse() for m in self.members))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class ValidityReport:
     """Outcome of the Hilbert-Schmidt orthogonality check for one party.
 
-    ``fixed_point_counts[a][b]`` is ``hs_inner`` of conditional combinations
-    ``a`` and ``b`` (composite odometer order, first qudit most significant).
-    The family is valid when every off-diagonal count is zero.
+    ``table`` is the party's compiled form: ``table[a]`` holds the images of
+    conditional combination ``a`` (composite odometer order, first qudit most
+    significant), as a ``(d**m, d**m)`` integer array.  The family is valid
+    when no two combinations agree on any label; the first violating pair of
+    combination digit-tuples is recorded when invalid.
     """
 
     valid: bool
     violating_pair: tuple[tuple[int, ...], tuple[int, ...]] | None
-    fixed_point_counts: tuple[tuple[int, ...], ...]
+    table: np.ndarray
+
+    @property
+    def fixed_point_counts(self) -> tuple[tuple[int, ...], ...]:
+        """``hs_inner`` of every pair of combinations; O(D**3) time, computed
+        on each access."""
+        return tuple(tuple(int(n) for n in (self.table == row).sum(axis=1)) for row in self.table)
+
+
+def _combination_table(sets: tuple[OperatorSet, ...] | list[OperatorSet]) -> np.ndarray:
+    """Images of every conditional combination as rows, composite odometer
+    order; see :func:`combined_operators`."""
+    if not sets:
+        raise ValueError("need at least one operator set")
+    bus = sets[0].bus_dim
+    table = np.arange(bus, dtype=np.intp)[None, :]
+    for opset in sets:
+        if opset.bus_dim != bus:
+            raise ValueError(f"size mismatch: {opset.bus_dim} != {bus}")
+        members = np.array([member.mapping for member in opset.members], dtype=np.intp)
+        # members[k][table[p]] is combination p followed by member k, at index p*d + k.
+        table = members[:, table].swapaxes(0, 1).reshape(-1, bus)
+    return table
 
 
 def combined_operators(sets: tuple[OperatorSet, ...] | list[OperatorSet]) -> list[Permutation]:
@@ -268,22 +296,18 @@ def combined_operators(sets: tuple[OperatorSet, ...] | list[OperatorSet]) -> lis
     ``members_m[k_m] o .. o members_1[k_1]``.  Index in the returned list is
     the composite label with the first qudit as the most significant digit.
     """
-    if not sets:
-        raise ValueError("need at least one operator set")
-    combos: list[Permutation] = []
-    dims = [opset.subsystem_dim for opset in sets]
-    for digits in itertools.product(*(range(d) for d in dims)):
-        combo = identity(sets[0].bus_dim)
-        for opset, k in zip(sets, digits):
-            combo = compose(opset.members[k], combo)
-        combos.append(combo)
-    return combos
+    return [Permutation(tuple(row)) for row in _combination_table(sets).tolist()]
 
 
 def validate_interaction_sets(
     sets: tuple[OperatorSet, ...] | list[OperatorSet], d: int, m: int
 ) -> ValidityReport:
     """Check one party's operator sets for faithful conditional readout.
+
+    The ratio of two combinations is a derangement exactly when they
+    disagree on every label, so the family is valid exactly when every
+    column of the combination table holds distinct labels.  The check takes
+    O(D**2) time and memory for ``D = d**m``.
 
     Args:
         sets: ``m`` operator sets, one per qudit, each with ``d`` members
@@ -292,9 +316,9 @@ def validate_interaction_sets(
         m: number of qudits coupled to the bus.
 
     Returns:
-        ValidityReport with the full pairwise fixed-point-count table; the
-        first violating pair of combination digit-tuples is recorded when
-        invalid.
+        ValidityReport holding the combination table; the first violating
+        pair (lowest first combination, then lowest partner) is recorded
+        when invalid.
 
     Raises:
         ValueError: on structural mismatch (wrong set count, member count,
@@ -310,21 +334,19 @@ def validate_interaction_sets(
             raise ValueError(f"set {j} conditions a dim-{opset.subsystem_dim} qudit, expected {d}")
         if opset.bus_dim != bus:
             raise ValueError(f"set {j} acts on {opset.bus_dim} bus labels, expected {bus}")
-    combos = combined_operators(tuple(sets))
-    table = np.array([combo.mapping for combo in combos], dtype=np.int64)
-    counts = (table[:, None, :] == table[None, :, :]).sum(axis=2)
-    off_diagonal = counts - np.diag(np.diag(counts))
+    table = _combination_table(sets)
+    columns = np.arange(bus)
+    # counts[label, column]: how many combinations send that column to that label.
+    counts = np.bincount((table * bus + columns).ravel(), minlength=bus * bus).reshape(bus, bus)
+    clashing = (counts[table, columns] > 1).any(axis=1)
     violating_pair = None
-    bad = np.argwhere(off_diagonal > 0)
-    if bad.size:
-        a, b = (int(x) for x in bad[0])
-        digit_tuples = list(itertools.product(range(d), repeat=m))
-        violating_pair = (digit_tuples[a], digit_tuples[b])
-    return ValidityReport(
-        valid=violating_pair is None,
-        violating_pair=violating_pair,
-        fixed_point_counts=tuple(tuple(int(x) for x in row) for row in counts),
-    )
+    if clashing.any():
+        a = int(np.argmax(clashing))
+        partners = (table == table[a]).any(axis=1)
+        partners[a] = False
+        b = int(np.argmax(partners))
+        violating_pair = (label_digits(a, d, m), label_digits(b, d, m))
+    return ValidityReport(valid=violating_pair is None, violating_pair=violating_pair, table=table)
 
 
 def _horizontal_step(d: int) -> Permutation:
@@ -353,6 +375,20 @@ def build_hv_sets(d: int) -> tuple[OperatorSet, OperatorSet]:
     return first, second
 
 
+def shift_power(size: int, k: int) -> Permutation:
+    """Power ``k`` of the full cycle ``s -> s+1`` on ``size`` labels:
+    ``s -> (s + k) % size``."""
+    return Permutation(tuple((s + k) % size for s in range(size)))
+
+
+def cyclic_set(generator: Permutation, d: int) -> OperatorSet:
+    """Operator set ``{generator**k : k < d}``; the powers must be distinct."""
+    members = tuple(generator.power(k) for k in range(d))
+    if len({member.mapping for member in members}) != d:
+        raise ValueError("generator powers collide; cannot form a d-member set")
+    return OperatorSet(d, members)
+
+
 def build_shift_sets(d: int, m: int) -> tuple[OperatorSet, ...]:
     """Single-cycle power sets for ``m`` qudits on a ``d**m`` bus.
 
@@ -363,12 +399,9 @@ def build_shift_sets(d: int, m: int) -> tuple[OperatorSet, ...]:
     if d < 2 or m < 1:
         raise ValueError("need d >= 2 and m >= 1")
     bus = d**m
-    shift = Permutation(tuple((s + 1) % bus for s in range(bus)))
-    sets = []
-    for j in range(m):
-        generator = shift.power(d**j)
-        sets.append(OperatorSet(d, tuple(generator.power(k) for k in range(d))))
-    return tuple(sets)
+    return tuple(
+        OperatorSet(d, tuple(shift_power(bus, k * d**j) for k in range(d))) for j in range(m)
+    )
 
 
 def derangement_count(n: int) -> int:

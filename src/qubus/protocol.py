@@ -106,7 +106,7 @@ def derive_feedforward(
     plus the conjugate-outcome phase powers.
 
     Raises:
-        ValueError: the bus outcome is inconsistent with a Latin matrix.
+        ValueError: the bus outcome is outside the bus.
     """
     sigma = outcome_permutation(matrix, bus_outcome)
     return Correction(permutation=sigma.inverse(), phase_powers=tuple(int(a) for a in phase_outcomes))
@@ -127,95 +127,72 @@ def target_gate_label(sigma: Permutation, d: int, m: int) -> str:
     return f"perm:{format_cycles(residual)}"
 
 
-def _branch_transfer(
+def _couple(direction: str, input_state: StateVector, spec: InteractionSpec) -> StateVector:
+    """Every coupling before Alice's measurement; none depends on the branch.
+
+    Transfer starts the bus in label 0 beside Alice's input.  Teleport first
+    couples Bob's uniform blanks to the bus and places the input in front.
+    Alice's couplings follow either way, so her qudits lead the register.
+    """
+    bus = basis_state((spec.bus_dim,), 0)
+    if direction == "transfer":
+        state = tensor(input_state, bus)
+    else:
+        bob_side = tensor(uniform_state((spec.d,) * spec.m), bus)
+        for j in range(spec.m):
+            bob_side = apply_conditional(bob_side, j, spec.bob_sets[j])
+        state = tensor(input_state, bob_side)
+    for j in range(spec.m):
+        state = apply_conditional(state, j, spec.alice_sets[j])
+    return state
+
+
+def _branch(
     input_state: StateVector,
+    coupled: StateVector,
     spec: InteractionSpec,
     matrix: PreMeasurementMatrix,
+    targets: tuple[str, ...],
     forced: tuple[tuple[int, ...] | None, int | None],
     rng: np.random.Generator | None,
 ) -> tuple[ProtocolTrace, StateVector]:
+    """One branch from the coupled register of :func:`_couple`: Alice's
+    conjugate measurements, Bob's blanks and couplings (transfer only), the
+    bus measurement and the feed-forward.  ``targets`` holds the target-gate
+    label of each bus outcome."""
     forced_alice, forced_bus = forced
-    state = tensor(input_state, basis_state((spec.bus_dim,), 0))
-    for j in range(spec.m):
-        state = apply_conditional(state, j, spec.alice_sets[j])
+    state = coupled
     records: list[MeasurementRecord] = []
-    alice_outcomes: list[int] = []
     for j in range(spec.m):
         forced_outcome = None if forced_alice is None else forced_alice[j]
         state, record = measure(state, 0, "conjugate", forced_outcome=forced_outcome, rng=rng)
         records.append(replace(record, subsystem=j))
-        alice_outcomes.append(record.outcome)
-    state = tensor(uniform_state((spec.d,) * spec.m), state)
-    for j in range(spec.m):
-        state = apply_conditional(state, j, spec.bob_sets[j])
-    state, record = measure(
-        state, spec.m, "computational", forced_outcome=forced_bus, rng=rng
-    )
+    if matrix.direction == "transfer":
+        state = tensor(uniform_state((spec.d,) * spec.m), state)
+        for j in range(spec.m):
+            state = apply_conditional(state, j, spec.bob_sets[j])
+    state, record = measure(state, spec.m, "computational", forced_outcome=forced_bus, rng=rng)
     records.append(record)
-    return _finish_branch(
-        "transfer", input_state, spec, matrix, state, records, alice_outcomes, record.outcome
-    )
-
-
-def _branch_teleport(
-    input_state: StateVector,
-    spec: InteractionSpec,
-    matrix: PreMeasurementMatrix,
-    forced: tuple[tuple[int, ...] | None, int | None],
-    rng: np.random.Generator | None,
-) -> tuple[ProtocolTrace, StateVector]:
-    forced_alice, forced_bus = forced
-    bob_side = tensor(uniform_state((spec.d,) * spec.m), basis_state((spec.bus_dim,), 0))
-    for j in range(spec.m):
-        bob_side = apply_conditional(bob_side, j, spec.bob_sets[j])
-    state = tensor(input_state, bob_side)
-    for j in range(spec.m):
-        state = apply_conditional(state, j, spec.alice_sets[j])
-    records: list[MeasurementRecord] = []
-    alice_outcomes: list[int] = []
-    for j in range(spec.m):
-        forced_outcome = None if forced_alice is None else forced_alice[j]
-        state, record = measure(state, 0, "conjugate", forced_outcome=forced_outcome, rng=rng)
-        records.append(replace(record, subsystem=j))
-        alice_outcomes.append(record.outcome)
-    state, record = measure(
-        state, spec.m, "computational", forced_outcome=forced_bus, rng=rng
-    )
-    records.append(record)
-    return _finish_branch(
-        "teleport", input_state, spec, matrix, state, records, alice_outcomes, record.outcome
-    )
-
-
-def _finish_branch(
-    direction: str,
-    input_state: StateVector,
-    spec: InteractionSpec,
-    matrix: PreMeasurementMatrix,
-    raw_state: StateVector,
-    records: list[MeasurementRecord],
-    alice_outcomes: list[int],
-    bus_outcome: int,
-) -> tuple[ProtocolTrace, StateVector]:
-    correction = derive_feedforward(matrix, bus_outcome, alice_outcomes)
-    corrected = apply_label_permutation(raw_state, correction.permutation)
+    alice_outcomes = tuple(r.outcome for r in records[:-1])
+    correction = derive_feedforward(matrix, record.outcome, alice_outcomes)
+    corrected = apply_label_permutation(state, correction.permutation)
     for j, power in enumerate(correction.phase_powers):
         corrected = apply_local(corrected, j, ("z", power))
-    sigma = correction.permutation.inverse()
-    target = target_gate_label(sigma, spec.d, spec.m)
-    branch_fidelity = fidelity(corrected, input_state)
-    probability = math.prod(record.probability for record in records)
     trace = ProtocolTrace(
-        direction=direction,
+        direction=matrix.direction,
         records=tuple(records),
-        alice_outcomes=tuple(alice_outcomes),
-        bus_outcome=bus_outcome,
+        alice_outcomes=alice_outcomes,
+        bus_outcome=record.outcome,
         correction=correction,
-        target_gate=target,
-        fidelity=branch_fidelity,
-        probability=probability,
+        target_gate=targets[record.outcome],
+        fidelity=fidelity(corrected, input_state),
+        probability=math.prod(r.probability for r in records),
     )
     return trace, corrected
+
+
+def _targets(matrix: PreMeasurementMatrix) -> tuple[str, ...]:
+    return tuple(target_gate_label(sigma, matrix.d, matrix.m) for sigma in matrix.outcomes)
 
 
 def _run(
@@ -230,26 +207,28 @@ def _run(
     if input_state.dims != (spec.d,) * spec.m:
         raise ValueError(f"input dims {input_state.dims} do not match spec {(spec.d,) * spec.m}")
     matrix = premeasurement_matrix(spec, direction)
-    branch = _branch_transfer if direction == "transfer" else _branch_teleport
+    shared = (spec, matrix, _targets(matrix))
     if policy == "sample":
         rng = np.random.default_rng(seed)
-        trace, _ = branch(input_state, spec, matrix, (None, None), rng)
+        coupled = _couple(direction, input_state, spec)
+        trace, _ = _branch(input_state, coupled, *shared, (None, None), rng)
         return trace
     if policy == "forced":
         if alice_outcomes is None or bus_outcome is None:
             raise ValueError("forced policy needs alice_outcomes and bus_outcome")
         if len(alice_outcomes) != spec.m:
             raise ValueError(f"need {spec.m} conjugate outcomes, got {len(alice_outcomes)}")
-        trace, _ = branch(
-            input_state, spec, matrix, (tuple(int(a) for a in alice_outcomes), int(bus_outcome)), None
-        )
+        forced = (tuple(int(a) for a in alice_outcomes), int(bus_outcome))
+        coupled = _couple(direction, input_state, spec)
+        trace, _ = _branch(input_state, coupled, *shared, forced, None)
         return trace
     if policy == "enumerate":
+        coupled = _couple(direction, input_state, spec)
         traces = []
         for digits in itertools.product(range(spec.d), repeat=spec.m):
             for bus in range(spec.bus_dim):
                 try:
-                    trace, _ = branch(input_state, spec, matrix, (digits, bus), None)
+                    trace, _ = _branch(input_state, coupled, *shared, (digits, bus), None)
                 except ZeroProbabilityError:
                     continue
                 traces.append(trace)
@@ -324,13 +303,13 @@ def repeat_until_entangled(
     Raises:
         ValueError: the spec's mapping is purely local.
     """
-    mapping = classify_mapping(spec)
-    if mapping.kind == "local":
+    matrix = premeasurement_matrix(spec, "transfer")
+    if classify_mapping(matrix).kind == "local":
         raise ValueError("mapping has no entangling outcome; repetition cannot succeed")
     if trials < 1 or max_rounds < 1:
         raise ValueError("trials and max_rounds must be positive")
     rng = np.random.default_rng(seed)
-    matrix = premeasurement_matrix(spec, "transfer")
+    shared = (spec, matrix, _targets(matrix))
     rounds_per_trial: list[int] = []
     successes = 0
     min_fidelity = 1.0
@@ -339,7 +318,8 @@ def repeat_until_entangled(
         rounds = 0
         while rounds < max_rounds:
             rounds += 1
-            trace, corrected = _branch_transfer(state, spec, matrix, (None, None), rng)
+            coupled = _couple("transfer", state, spec)
+            trace, corrected = _branch(state, coupled, *shared, (None, None), rng)
             min_fidelity = min(min_fidelity, trace.fidelity)
             if trace.target_gate != "identity":
                 successes += 1

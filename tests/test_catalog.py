@@ -47,6 +47,7 @@ def test_named_x_powers():
     assert named_operator("x8", 3).mapping == named_operator("x1", 3).inverse().mapping
     assert named_operator("x0", 2).is_identity()
     assert named_operator("x4", 2).is_identity()
+    assert named_operator("x1000000001", 3, 2) == named_operator("x2", 3, 2)
 
 
 def test_named_operator_cycle_fallback():

@@ -311,6 +311,24 @@ def test_missing_required_parameter_exits_2(capsys):
     assert "bob" in json.loads(err)["error"]["message"]
 
 
+def test_oversized_requests_exit_2_before_building(capsys):
+    spec = ["--alice", "q1,q3", "--bob", "q1,q3"]
+    hv = ["--alice", "hv", "--bob", "hv"]
+    for argv, limit in (
+        (["cvbus", "--alphas", "0:1e12:1e-3", "--epsilons", "1e-2"], "1048576"),
+        (["cvbus", "--alphas", "0:1100:1", "--epsilons", "0:1000:1"], "1048576"),
+        (["cvbus", "--alphas", "0:inf:1", "--epsilons", "1e-2"], "finite"),
+        (["simulate", "--d", "2", "--m", "1000000000", *spec], "1024"),
+        (["matrix", "--d", "33", "--m", "2", *spec], "1024"),
+        (["search", "--d", "2", "--m", "1000000000", "--family", "shift_powers"], "1024"),
+        (["simulate", "--direction", "teleport", "--d", "11", *hv], "1048576"),
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2, argv
+        assert out == ""
+        assert limit in json.loads(err)["error"]["message"]
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "qubus.cli", "cvbus", "--alpha", "100", "--epsilon", "1e-5"],

@@ -23,7 +23,6 @@ from qubus.mappings import (
     block_criteria,
     classify_mapping,
     factor_composite,
-    is_locally_factorizable,
     is_maximally_entangling,
     outcome_permutation,
     premeasurement_matrix,
@@ -163,14 +162,13 @@ def test_factor_composite_three_subsystems():
     assert factor_composite(Permutation((0, 1, 3, 2, 4, 5, 6, 7)), (2, 2, 2)) is None
 
 
-def test_is_locally_factorizable_matches_exhaustive_search():
+def test_factor_composite_matches_exhaustive_search():
     singles = [Permutation(p) for p in itertools.permutations(range(2))]
     products = {local_product(a, b, 2).mapping for a in singles for b in singles}
     for images in itertools.permutations(range(4)):
-        p = Permutation(images)
-        local, factors = is_locally_factorizable(p, 2)
-        assert local == (images in products)
-        if local:
+        factors = factor_composite(Permutation(images), (2, 2))
+        assert (factors is not None) == (images in products)
+        if factors is not None:
             assert local_product(factors[0], factors[1], 2).mapping == images
 
 

@@ -1,5 +1,7 @@
 """Tests for permutation primitives, cycle notation, and set validity."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -265,6 +267,36 @@ def test_inverse_law(p):
 @given(perm4, st.integers(-6, 6), st.integers(-6, 6))
 def test_power_addition(p, a, b):
     assert compose(p.power(a), p.power(b)).mapping == p.power(a + b).mapping
+
+
+@st.composite
+def permutation_and_exponent(draw):
+    images = draw(st.integers(1, 9).flatmap(lambda n: st.permutations(range(n))))
+    n = len(images)
+    return Permutation(tuple(images)), draw(st.integers(-2 * n, 2 * n))
+
+
+@given(permutation_and_exponent())
+def test_power_matches_repeated_compose(case):
+    p, exponent = case
+    base = p.inverse() if exponent < 0 else p
+    expected = identity(p.size)
+    for _ in range(abs(exponent)):
+        expected = compose(base, expected)
+    assert p.power(exponent).mapping == expected.mapping
+
+
+def test_validation_memory_stays_quadratic_in_bus_size():
+    sets = build_hv_sets(32)
+    tracemalloc.start()
+    try:
+        report = validate_interaction_sets(sets, 32, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.valid
+    # A (D, D, D) boolean array at D = 1024 would take 1 GiB.
+    assert peak < 128 * 2**20
 
 
 @given(perm4, perm4)
