@@ -32,7 +32,7 @@ from .mappings import (
     search_sets,
 )
 from .perms import CycleParseError, OperatorSet, build_hv_sets, build_shift_sets, format_cycles, identity
-from .protocol import ProtocolTrace, run_teleport, run_transfer
+from .protocol import ProtocolTrace, check_register_size, run_teleport, run_transfer
 from .states import (
     DEFAULT_DIMENSION_CAP,
     StateVector,
@@ -253,10 +253,12 @@ def _spec_json(spec: InteractionSpec) -> dict[str, object]:
     }
 
 
-def _trace_json(trace: ProtocolTrace, spec: InteractionSpec, input_label: str) -> dict[str, object]:
+def _trace_json(
+    trace: ProtocolTrace, spec_json: dict[str, object], input_label: str
+) -> dict[str, object]:
     return {
         "direction": trace.direction,
-        "spec": _spec_json(spec),
+        "spec": spec_json,
         "input": input_label,
         "alice_outcomes": list(trace.alice_outcomes),
         "bus_outcome": trace.bus_outcome,
@@ -280,12 +282,10 @@ def cmd_simulate(config: RunConfig) -> tuple[str, int]:
     direction = str(params["direction"])
     if direction not in ("transfer", "teleport"):
         raise CliError(f"unknown direction {direction!r}")
-    # Alice measures her qudits and the bus; teleport also holds Bob's.
-    register = spec.bus_dim ** (2 if direction == "transfer" else 3)
-    if register > DEFAULT_DIMENSION_CAP:
-        raise CliError(
-            f"{direction} measures {register} amplitudes, above the limit {DEFAULT_DIMENSION_CAP}"
-        )
+    try:
+        check_register_size(spec, direction)
+    except ValueError as err:
+        raise CliError(str(err)) from err
     runner = run_transfer if direction == "transfer" else run_teleport
     inputs = _parse_input(
         params["input"] if params["input"] is None else str(params["input"]),
@@ -314,7 +314,8 @@ def cmd_simulate(config: RunConfig) -> tuple[str, int]:
         rows.extend((label, trace) for trace in traces)
     ok = all(abs(trace.fidelity - 1.0) <= FIDELITY_TOL for _, trace in rows)
     if config.output_format == "json":
-        lines = [json.dumps(_trace_json(trace, spec, label)) for label, trace in rows]
+        spec_json = _spec_json(spec)
+        lines = [json.dumps(_trace_json(trace, spec_json, label)) for label, trace in rows]
     elif config.output_format == "pretty":
         lines = [
             f"{trace.direction} input={label} alice={trace.alice_outcomes} "

@@ -317,11 +317,17 @@ def is_maximally_entangling(p: Permutation, d: int) -> bool:
     """
     if p.size != d * d:
         raise ValueError(f"permutation acts on {p.size} labels, expected {d * d}")
+    if d == 2 and factor_composite(p, (d, d)) is not None:
+        return False
+    return _maximal_unless_local(p, d)
+
+
+def _maximal_unless_local(p: Permutation, d: int) -> bool:
+    """:func:`is_maximally_entangling` for a ``p`` known not to factor into
+    local permutations; at ``d == 2`` only the exchange composite is left
+    to factor."""
     if d == 2:
-        return (
-            factor_composite(p, (d, d)) is None
-            and factor_composite(compose(_exchange(d), p), (d, d)) is None
-        )
+        return factor_composite(compose(_exchange(d), p), (d, d)) is None
     return all(block_criteria(p, d))
 
 
@@ -360,7 +366,8 @@ def classify_mapping(
     maximal = matrix.m == 2
     for sigma in matrix.outcomes:
         local = factor_composite(sigma, (matrix.d,) * matrix.m) is not None
-        maximal = maximal and is_maximally_entangling(sigma, matrix.d)
+        # A local permutation is never maximally entangling, at any d.
+        maximal = maximal and not local and _maximal_unless_local(sigma, matrix.d)
         labels.append("local" if local else "entangling")
     if all(label == "local" for label in labels):
         kind = "local"

@@ -12,8 +12,8 @@ plus single-qudit phase corrections for Alice's conjugate outcomes.
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,6 +29,7 @@ from .mappings import (
 )
 from .perms import Permutation, format_cycles, identity
 from .states import (
+    DEFAULT_DIMENSION_CAP,
     MeasurementRecord,
     StateVector,
     ZeroProbabilityError,
@@ -47,6 +48,7 @@ __all__ = [
     "Correction",
     "ProtocolTrace",
     "RepeatStats",
+    "check_register_size",
     "derive_feedforward",
     "repeat_until_entangled",
     "run_teleport",
@@ -127,6 +129,31 @@ def target_gate_label(sigma: Permutation, d: int, m: int) -> str:
     return f"perm:{format_cycles(residual)}"
 
 
+def check_register_size(spec: InteractionSpec, direction: str) -> None:
+    """Refuse a run whose largest register, the one Alice measures, would
+    hold more than ``DEFAULT_DIMENSION_CAP`` amplitudes.  That register holds
+    her qudits and the bus (``d**m * D`` amplitudes, ``D = d**m``); in
+    teleport it also holds Bob's qudits (``d**(2m) * D``).
+
+    Raises:
+        ValueError: naming the register size and the limit.
+    """
+    register = spec.bus_dim ** (2 if direction == "transfer" else 3)
+    if register > DEFAULT_DIMENSION_CAP:
+        raise ValueError(
+            f"{direction} measures {register} amplitudes, above the limit {DEFAULT_DIMENSION_CAP}"
+        )
+
+
+def _bob_couplings(state: StateVector, spec: InteractionSpec) -> StateVector:
+    """Place Bob's uniform blanks in front of ``state`` (bus last) and couple
+    each of them to the bus."""
+    state = tensor(uniform_state((spec.d,) * spec.m), state)
+    for j in range(spec.m):
+        state = apply_conditional(state, j, spec.bob_sets[j])
+    return state
+
+
 def _couple(direction: str, input_state: StateVector, spec: InteractionSpec) -> StateVector:
     """Every coupling before Alice's measurement; none depends on the branch.
 
@@ -135,31 +162,66 @@ def _couple(direction: str, input_state: StateVector, spec: InteractionSpec) -> 
     Alice's couplings follow either way, so her qudits lead the register.
     """
     bus = basis_state((spec.bus_dim,), 0)
-    if direction == "transfer":
-        state = tensor(input_state, bus)
-    else:
-        bob_side = tensor(uniform_state((spec.d,) * spec.m), bus)
-        for j in range(spec.m):
-            bob_side = apply_conditional(bob_side, j, spec.bob_sets[j])
-        state = tensor(input_state, bob_side)
+    state = tensor(input_state, bus if direction == "transfer" else _bob_couplings(bus, spec))
     for j in range(spec.m):
         state = apply_conditional(state, j, spec.alice_sets[j])
     return state
+
+
+_Targets = tuple[tuple[str, Permutation], ...]
+
+
+def _targets(matrix: PreMeasurementMatrix) -> _Targets:
+    """Per bus outcome: its target-gate label and the inverse permutation
+    that the feed-forward applies."""
+    return tuple(
+        (target_gate_label(sigma, matrix.d, matrix.m), derive_feedforward(matrix, k, ()).permutation)
+        for k, sigma in enumerate(matrix.outcomes)
+    )
+
+
+def _finish(
+    input_state: StateVector,
+    state: StateVector,
+    records: tuple[MeasurementRecord, ...],
+    direction: str,
+    targets: _Targets,
+) -> tuple[ProtocolTrace, StateVector]:
+    """Feed-forward once the bus is measured (the last record): relabel the
+    receiver's register by the bus outcome's inverse permutation, then raise
+    each qudit's phase gate to Alice's conjugate outcome on it."""
+    alice_outcomes = tuple(r.outcome for r in records[:-1])
+    bus_outcome = records[-1].outcome
+    target, inverse = targets[bus_outcome]
+    corrected = apply_label_permutation(state, inverse)
+    for j, power in enumerate(alice_outcomes):
+        corrected = apply_local(corrected, j, ("z", power))
+    trace = ProtocolTrace(
+        direction=direction,
+        records=records,
+        alice_outcomes=alice_outcomes,
+        bus_outcome=bus_outcome,
+        correction=Correction(permutation=inverse, phase_powers=alice_outcomes),
+        target_gate=target,
+        fidelity=fidelity(corrected, input_state),
+        probability=math.prod(r.probability for r in records),
+    )
+    return trace, corrected
 
 
 def _branch(
     input_state: StateVector,
     coupled: StateVector,
     spec: InteractionSpec,
-    matrix: PreMeasurementMatrix,
-    targets: tuple[str, ...],
+    direction: str,
+    targets: _Targets,
     forced: tuple[tuple[int, ...] | None, int | None],
     rng: np.random.Generator | None,
 ) -> tuple[ProtocolTrace, StateVector]:
     """One branch from the coupled register of :func:`_couple`: Alice's
     conjugate measurements, Bob's blanks and couplings (transfer only), the
-    bus measurement and the feed-forward.  ``targets`` holds the target-gate
-    label of each bus outcome."""
+    bus measurement and the feed-forward.  Outcomes left as None are
+    sampled with ``rng``."""
     forced_alice, forced_bus = forced
     state = coupled
     records: list[MeasurementRecord] = []
@@ -167,32 +229,57 @@ def _branch(
         forced_outcome = None if forced_alice is None else forced_alice[j]
         state, record = measure(state, 0, "conjugate", forced_outcome=forced_outcome, rng=rng)
         records.append(replace(record, subsystem=j))
-    if matrix.direction == "transfer":
-        state = tensor(uniform_state((spec.d,) * spec.m), state)
-        for j in range(spec.m):
-            state = apply_conditional(state, j, spec.bob_sets[j])
+    if direction == "transfer":
+        state = _bob_couplings(state, spec)
     state, record = measure(state, spec.m, "computational", forced_outcome=forced_bus, rng=rng)
-    records.append(record)
-    alice_outcomes = tuple(r.outcome for r in records[:-1])
-    correction = derive_feedforward(matrix, record.outcome, alice_outcomes)
-    corrected = apply_label_permutation(state, correction.permutation)
-    for j, power in enumerate(correction.phase_powers):
-        corrected = apply_local(corrected, j, ("z", power))
-    trace = ProtocolTrace(
-        direction=matrix.direction,
-        records=tuple(records),
-        alice_outcomes=alice_outcomes,
-        bus_outcome=record.outcome,
-        correction=correction,
-        target_gate=targets[record.outcome],
-        fidelity=fidelity(corrected, input_state),
-        probability=math.prod(r.probability for r in records),
-    )
-    return trace, corrected
+    return _finish(input_state, state, (*records, record), direction, targets)
 
 
-def _targets(matrix: PreMeasurementMatrix) -> tuple[str, ...]:
-    return tuple(target_gate_label(sigma, matrix.d, matrix.m) for sigma in matrix.outcomes)
+def _possible_outcomes(
+    state: StateVector, subsystem: int, basis: str, count: int
+) -> Iterator[tuple[StateVector, MeasurementRecord]]:
+    """Measure ``subsystem`` of ``state`` once per outcome in ascending
+    order, skipping outcomes of zero probability."""
+    for outcome in range(count):
+        try:
+            measured = measure(state, subsystem, basis, forced_outcome=outcome)
+        except ZeroProbabilityError:
+            continue
+        yield measured
+
+
+def _enumerate(
+    input_state: StateVector,
+    coupled: StateVector,
+    spec: InteractionSpec,
+    direction: str,
+    targets: _Targets,
+) -> list[ProtocolTrace]:
+    """Every branch of nonzero probability, as a walk over the prefix tree of
+    Alice's outcomes.
+
+    Level ``j`` holds one register per possible prefix of her first ``j``
+    outcomes, so each prefix is measured once rather than once per branch
+    below it, and a zero-probability outcome prunes its subtree.  Bob's
+    couplings (transfer) run once per complete Alice outcome, and each such
+    leaf is measured once per bus outcome.  Traces come in odometer order of
+    Alice's outcomes, then bus outcome ascending.
+    """
+    level: list[tuple[tuple[MeasurementRecord, ...], StateVector]] = [((), coupled)]
+    for j in range(spec.m):
+        level = [
+            ((*records, replace(record, subsystem=j)), child)
+            for records, state in level
+            for child, record in _possible_outcomes(state, 0, "conjugate", spec.d)
+        ]
+    traces = []
+    for records, state in level:
+        if direction == "transfer":
+            state = _bob_couplings(state, spec)
+        for measured, record in _possible_outcomes(state, spec.m, "computational", spec.bus_dim):
+            trace, _ = _finish(input_state, measured, (*records, record), direction, targets)
+            traces.append(trace)
+    return traces
 
 
 def _run(
@@ -206,8 +293,9 @@ def _run(
 ) -> ProtocolTrace | list[ProtocolTrace]:
     if input_state.dims != (spec.d,) * spec.m:
         raise ValueError(f"input dims {input_state.dims} do not match spec {(spec.d,) * spec.m}")
+    check_register_size(spec, direction)
     matrix = premeasurement_matrix(spec, direction)
-    shared = (spec, matrix, _targets(matrix))
+    shared = (spec, direction, _targets(matrix))
     if policy == "sample":
         rng = np.random.default_rng(seed)
         coupled = _couple(direction, input_state, spec)
@@ -223,16 +311,7 @@ def _run(
         trace, _ = _branch(input_state, coupled, *shared, forced, None)
         return trace
     if policy == "enumerate":
-        coupled = _couple(direction, input_state, spec)
-        traces = []
-        for digits in itertools.product(range(spec.d), repeat=spec.m):
-            for bus in range(spec.bus_dim):
-                try:
-                    trace, _ = _branch(input_state, coupled, *shared, (digits, bus), None)
-                except ZeroProbabilityError:
-                    continue
-                traces.append(trace)
-        return traces
+        return _enumerate(input_state, _couple(direction, input_state, spec), *shared)
     raise ValueError(f"unknown policy {policy!r}; expected sample, forced, or enumerate")
 
 
@@ -263,6 +342,9 @@ def run_transfer(
     Raises:
         InvalidInteractionError: the spec fails validation.
         ZeroProbabilityError: a forced outcome cannot occur.
+        ValueError: the register Alice measures would exceed
+            ``DEFAULT_DIMENSION_CAP`` amplitudes (see
+            :func:`check_register_size`), or a bad policy or argument.
     """
     return _run("transfer", input_state, spec, policy, seed, alice_outcomes, bus_outcome)
 
@@ -301,15 +383,17 @@ def repeat_until_entangled(
         input_state: fixed input; fresh random states per trial when None.
 
     Raises:
-        ValueError: the spec's mapping is purely local.
+        ValueError: the spec's mapping is purely local, or the transfer
+            register would exceed ``DEFAULT_DIMENSION_CAP`` amplitudes.
     """
+    check_register_size(spec, "transfer")
     matrix = premeasurement_matrix(spec, "transfer")
     if classify_mapping(matrix).kind == "local":
         raise ValueError("mapping has no entangling outcome; repetition cannot succeed")
     if trials < 1 or max_rounds < 1:
         raise ValueError("trials and max_rounds must be positive")
     rng = np.random.default_rng(seed)
-    shared = (spec, matrix, _targets(matrix))
+    shared = (spec, "transfer", _targets(matrix))
     rounds_per_trial: list[int] = []
     successes = 0
     min_fidelity = 1.0

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from qubus import mappings
 from qubus.catalog import (
     QUBIT_COMBINED_TABLE,
     QUBIT_ENTANGLING_TABLE,
@@ -308,3 +309,32 @@ def test_search_shift_powers_family():
     result = search_sets(2, "shift_powers", "any-valid")
     assert len(result.hits) >= 1
     assert all(hit.spec.d == 2 for hit in result.hits)
+
+
+def test_classify_mapping_factors_each_qubit_outcome_at_most_twice(monkeypatch):
+    calls = []
+
+    def counting_factor(*args):
+        calls.append(args)
+        return factor_composite(*args)
+
+    monkeypatch.setattr(mappings, "factor_composite", counting_factor)
+    hits = search_sets(2, "pairwise+cyclic", "any-valid").hits
+    assert {(hit.mapping.kind, hit.mapping.maximal) for hit in hits} == {
+        ("local", False),
+        ("entangling", False),
+        ("entangling", True),
+        ("combined", False),
+    }
+    for hit in hits:
+        matrix = premeasurement_matrix(hit.spec)
+        labels = tuple(
+            "local" if factor_composite(sigma, (2, 2)) is not None else "entangling"
+            for sigma in matrix.outcomes
+        )
+        maximal = all(is_maximally_entangling(sigma, 2) for sigma in matrix.outcomes)
+        calls.clear()
+        mapping = classify_mapping(matrix)
+        assert len(calls) <= 2 * matrix.size
+        assert mapping.per_outcome == hit.mapping.per_outcome == labels
+        assert mapping.maximal == hit.mapping.maximal == maximal

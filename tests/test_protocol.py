@@ -1,8 +1,12 @@
 """Tests for transfer/teleport branches, feed-forward, and repetition."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from qubus import protocol
 from qubus.catalog import canonical_spec, corrupted_cross_party_spec, corrupted_qutrit_spec
 from qubus.mappings import (
     InteractionSpec,
@@ -18,9 +22,18 @@ from qubus.protocol import (
     run_transfer,
     target_gate_label,
 )
-from qubus.states import basis_state, random_state, uniform_state
+from qubus.states import ZeroProbabilityError, basis_state, random_state, uniform_state
 
 ATOL = 1e-12
+CATALOG = (
+    "qubit-local",
+    "qubit-entangling",
+    "qubit-combined",
+    "qutrit-local",
+    "qutrit-entangling",
+    "qutrit-maximal",
+    "qutrit-shift",
+)
 
 
 def shift_spec(d, m):
@@ -81,17 +94,72 @@ def test_transfer_trace_bookkeeping():
 
 
 def test_forced_matches_enumerated_branch():
-    spec = canonical_spec("qubit-combined")
-    psi = random_state((2, 2), np.random.default_rng(4))
-    enumerated = {
-        (t.alice_outcomes, t.bus_outcome): t for t in run_transfer(psi, spec, policy="enumerate")
-    }
-    forced = run_transfer(psi, spec, policy="forced", alice_outcomes=(1, 1), bus_outcome=2)
-    twin = enumerated[((1, 1), 2)]
-    assert forced.correction == twin.correction
-    assert forced.target_gate == twin.target_gate
-    assert abs(forced.fidelity - twin.fidelity) <= ATOL
-    assert abs(forced.probability - twin.probability) <= ATOL
+    # The basis input leaves most bus outcomes at zero probability.
+    for name, runner in itertools.product(CATALOG, (run_transfer, run_teleport)):
+        spec = canonical_spec(name)
+        dims = (spec.d,) * spec.m
+        for psi in (random_state(dims, np.random.default_rng(4)), basis_state(dims, 1)):
+            check_enumerated_against_forced(runner, psi, spec)
+
+
+def check_enumerated_against_forced(runner, psi, spec):
+    forced = {}
+    for alice in itertools.product(range(spec.d), repeat=spec.m):
+        for bus in range(spec.bus_dim):
+            try:
+                forced[alice, bus] = runner(
+                    psi, spec, policy="forced", alice_outcomes=alice, bus_outcome=bus
+                )
+            except ZeroProbabilityError:
+                continue
+    enumerated = runner(psi, spec, policy="enumerate")
+    keys = [(t.alice_outcomes, t.bus_outcome) for t in enumerated]
+    assert keys == sorted(forced)
+    for key, trace in zip(keys, enumerated):
+        assert trace == forced[key]
+
+
+def test_enumerate_measures_each_alice_prefix_once(monkeypatch):
+    measure = protocol.measure
+    subsystems = []
+
+    def counting_measure(state, subsystem, *args, **kwargs):
+        subsystems.append(subsystem)
+        return measure(state, subsystem, *args, **kwargs)
+
+    monkeypatch.setattr(protocol, "measure", counting_measure)
+    sets = build_shift_sets(3, 3)
+    spec = InteractionSpec(3, 3, sets, tuple(opset.inverses() for opset in sets))
+    psi = random_state((3, 3, 3), np.random.default_rng(8))
+    for runner in (run_transfer, run_teleport):
+        subsystems.clear()
+        assert len(runner(psi, spec, policy="enumerate")) == 27 * 27
+        # Alice's qudit 0 once per outcome of each prefix (1, 3 and 9 prefixes),
+        # then the bus (subsystem 3) of each of the 27 leaves once per bus outcome.
+        assert subsystems.count(0) == 3 + 9 + 27
+        assert subsystems.count(3) == 27 * 27
+        assert len(subsystems) == 3 + 9 + 27 + 27 * 27
+
+
+def test_oversized_register_is_refused_before_building():
+    rng = np.random.default_rng(2)
+    teleport_spec = shift_spec(2, 10)
+    transfer_spec = shift_spec(2, 11)
+    teleport_input = random_state((2,) * 10, rng)
+    transfer_input = random_state((2,) * 11, rng)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="1073741824 amplitudes, above the limit 1048576"):
+            run_teleport(teleport_input, teleport_spec, policy="enumerate")
+        with pytest.raises(ValueError, match="4194304 amplitudes, above the limit 1048576"):
+            run_transfer(transfer_input, transfer_spec, policy="sample", seed=0)
+        with pytest.raises(ValueError, match="above the limit 1048576"):
+            repeat_until_entangled(transfer_spec, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The refused registers would take 16 GiB and 64 MiB.
+    assert peak < 1 << 20
 
 
 def test_sampling_is_seed_deterministic():
