@@ -12,6 +12,7 @@ are still emitted).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -24,9 +25,9 @@ from .cvbus import max_dimension, sweep, sweep_csv
 from .mappings import (
     DEFAULT_SEARCH_BUDGET,
     InteractionSpec,
-    InvalidInteractionError,
     SEARCH_FAMILIES,
     SEARCH_OBJECTIVES,
+    check_bus_dim,
     classify_mapping,
     premeasurement_matrix,
     search_sets,
@@ -45,9 +46,6 @@ from .states import (
 __all__ = ["RunConfig", "main"]
 
 FIDELITY_TOL = 1e-12
-# Largest bus d**m: a party's (D, D) combination table then holds at most
-# DEFAULT_DIMENSION_CAP entries.
-MAX_BUS_DIM = math.isqrt(DEFAULT_DIMENSION_CAP)
 
 _DEFAULTS: dict[str, dict[str, object]] = {
     "simulate": {
@@ -188,23 +186,11 @@ def _parse_party(text: str, d: int, m: int) -> tuple[OperatorSet, ...]:
     return tuple(_parse_slot(slot, d, m) for slot in slots)
 
 
-def _check_bus_dim(d: int, m: int) -> None:
-    """Refuse ``d**m > MAX_BUS_DIM``; the loop stops at the first power past
-    the limit, so a huge ``m`` is never evaluated."""
-    if abs(d) < 2:
-        return
-    bus = 1
-    for _ in range(m):
-        bus *= abs(d)
-        if bus > MAX_BUS_DIM:
-            raise CliError(f"bus dimension {d}**{m} exceeds the limit {MAX_BUS_DIM}")
-
-
 def _build_spec(params: dict[str, object]) -> InteractionSpec:
     d = int(params["d"])
     m = int(params["m"])
-    _check_bus_dim(d, m)
     try:
+        check_bus_dim(d, m)
         spec = InteractionSpec(
             d=d,
             m=m,
@@ -212,8 +198,6 @@ def _build_spec(params: dict[str, object]) -> InteractionSpec:
             bob_sets=_parse_party(str(params["bob"]), d, m),
         )
         spec.validate()
-    except InvalidInteractionError as err:
-        raise CliError(str(err)) from err
     except ValueError as err:
         raise CliError(str(err)) from err
     return spec
@@ -241,10 +225,11 @@ def _parse_input(text: str | None, d: int, m: int, policy: str) -> list[tuple[st
         raise CliError(f"bad input specification {text!r}: {err}") from err
 
 
-def _spec_json(spec: InteractionSpec) -> dict[str, object]:
-    def party(sets: tuple[OperatorSet, ...]) -> list[list[str]]:
-        return [[format_cycles(member) for member in opset.members] for opset in sets]
+def _party_json(sets: tuple[OperatorSet, ...]) -> list[list[str]]:
+    return [[format_cycles(member) for member in opset.members] for opset in sets]
 
+
+def _spec_json(spec: InteractionSpec, party=_party_json) -> dict[str, object]:
     return {
         "d": spec.d,
         "m": spec.m,
@@ -383,16 +368,17 @@ def cmd_search(config: RunConfig) -> tuple[str, int]:
         raise CliError(f"unknown objective {objective!r}; expected one of {SEARCH_OBJECTIVES}")
     budget = None if params["budget"] is None else int(params["budget"])
     d, m = int(params["d"]), int(params["m"])
-    _check_bus_dim(d, m)
     try:
         result = search_sets(d, family, objective, m=m, budget=budget)
     except ValueError as err:
         raise CliError(str(err)) from err
     if config.output_format != "json":
         raise CliError(f"unsupported format {config.output_format!r} for search")
+    # Hits share parties, so each party's cycles are formatted once.
+    party = functools.cache(_party_json)
     lines = []
     for hit in result.hits:
-        payload = _spec_json(hit.spec)
+        payload = _spec_json(hit.spec, party)
         payload["kind"] = hit.mapping.kind
         payload["per_outcome"] = list(hit.mapping.per_outcome)
         payload["maximal"] = hit.mapping.maximal

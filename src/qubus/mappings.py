@@ -11,6 +11,7 @@ character.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,16 +28,19 @@ from .perms import (
     shift_power,
     validate_interaction_sets,
 )
+from .states import DEFAULT_DIMENSION_CAP
 
 __all__ = [
     "DEFAULT_SEARCH_BUDGET",
     "InteractionSpec",
     "InvalidInteractionError",
+    "MAX_BUS_DIM",
     "MappingClass",
     "PreMeasurementMatrix",
     "SearchHit",
     "SearchResult",
     "block_criteria",
+    "check_bus_dim",
     "classify_mapping",
     "factor_composite",
     "is_maximally_entangling",
@@ -49,6 +53,25 @@ __all__ = [
 DEFAULT_SEARCH_BUDGET = 9**4
 SEARCH_FAMILIES = ("pairwise+cyclic", "hv_products", "shift_powers", "exhaustive")
 SEARCH_OBJECTIVES = ("any-valid", "local", "entangling", "maximal")
+# Largest bus d**m: a party's (D, D) combination table then holds at most
+# DEFAULT_DIMENSION_CAP entries.
+MAX_BUS_DIM = math.isqrt(DEFAULT_DIMENSION_CAP)
+
+
+def check_bus_dim(d: int, m: int) -> None:
+    """Refuse ``d**m > MAX_BUS_DIM``; the loop stops at the first power past
+    the limit, so a huge ``m`` is never evaluated.
+
+    Raises:
+        ValueError: naming the bus dimension and the limit.
+    """
+    if abs(d) < 2:
+        return
+    bus = 1
+    for _ in range(m):
+        bus *= abs(d)
+        if bus > MAX_BUS_DIM:
+            raise ValueError(f"bus dimension {d}**{m} exceeds the limit {MAX_BUS_DIM}")
 
 
 class InvalidInteractionError(ValueError):
@@ -137,27 +160,33 @@ class PreMeasurementMatrix:
         return rows_ok and cols_ok
 
 
-def _gather_matrix(
-    d: int, m: int, direction: str, alice: np.ndarray, bob: np.ndarray
-) -> PreMeasurementMatrix:
-    """Matrix and outcome permutations from two valid combination tables.
+def _outcome_tables(entries: np.ndarray) -> np.ndarray:
+    """Outcome permutations of ``(..., D, D)`` matrix entries, one per row:
+    ``sigma[..., label, c]`` is the row holding ``label`` in column ``c``.
 
     Validity makes every column of the entries a permutation of the labels,
     so one scatter inverts all columns at once.
     """
+    sigma = np.empty_like(entries)
+    rows = np.arange(entries.shape[-1])
+    np.put_along_axis(sigma, entries, rows[:, None], axis=-2)
+    return sigma
+
+
+def _gather_matrix(
+    d: int, m: int, direction: str, alice: np.ndarray, bob: np.ndarray
+) -> PreMeasurementMatrix:
+    """Matrix and outcome permutations from two valid combination tables."""
     if direction == "transfer":
         entries = bob[:, alice[:, 0]]
     else:
         entries = alice[:, bob[:, 0]].T
-    size = entries.shape[0]
-    sigma = np.empty_like(entries)
-    sigma[entries, np.arange(size)] = np.arange(size)[:, None]
     return PreMeasurementMatrix(
         d,
         m,
         direction,
         tuple(map(tuple, entries.tolist())),
-        tuple(Permutation(tuple(images)) for images in sigma.tolist()),
+        tuple(Permutation(tuple(images)) for images in _outcome_tables(entries).tolist()),
     )
 
 
@@ -317,18 +346,73 @@ def is_maximally_entangling(p: Permutation, d: int) -> bool:
     """
     if p.size != d * d:
         raise ValueError(f"permutation acts on {p.size} labels, expected {d * d}")
-    if d == 2 and factor_composite(p, (d, d)) is not None:
-        return False
-    return _maximal_unless_local(p, d)
-
-
-def _maximal_unless_local(p: Permutation, d: int) -> bool:
-    """:func:`is_maximally_entangling` for a ``p`` known not to factor into
-    local permutations; at ``d == 2`` only the exchange composite is left
-    to factor."""
     if d == 2:
-        return factor_composite(compose(_exchange(d), p), (d, d)) is None
+        return (
+            factor_composite(p, (d, d)) is None
+            and factor_composite(compose(_exchange(d), p), (d, d)) is None
+        )
     return all(block_criteria(p, d))
+
+
+def _all_distinct(keys: np.ndarray) -> np.ndarray:
+    """Whether each row of ``keys`` (last axis, values in ``range(n)`` for a
+    last axis of length ``n``) holds every value once."""
+    return (np.sort(keys, axis=-1) == np.arange(keys.shape[-1])).all(axis=-1)
+
+
+def _local_mask(sigma: np.ndarray, d: int, m: int) -> np.ndarray:
+    """Which permutations, the rows of ``sigma`` (last axis the ``d**m``
+    composite labels), factor into per-qudit permutations: the table form
+    of :func:`factor_composite`.
+
+    Qudit ``j`` with stride ``s`` reads its factor off the labels ``k*s``;
+    the row is local when every read-off is a bijection and the product of
+    the read-offs reproduces the row.
+    """
+    labels = np.arange(sigma.shape[-1])
+    levels = np.arange(d)
+    local = np.ones(sigma.shape[:-1], dtype=bool)
+    product = np.zeros_like(sigma)
+    for j in range(m):
+        stride = d ** (m - 1 - j)
+        factor = sigma[..., levels * stride] // stride % d
+        local &= _all_distinct(factor)
+        product += factor[..., labels // stride % d] * stride
+    return local & (product == sigma).all(axis=-1)
+
+
+def _maximal_mask(sigma: np.ndarray, d: int) -> np.ndarray:
+    """Which two-qudit permutations, the rows of ``sigma``, are maximally
+    entangling: the table form of :func:`is_maximally_entangling`.
+
+    At ``d >= 3`` the four block criteria hold together exactly when each
+    of four keys, pairing the block or in-block digit of the output
+    (``row``) with that of the input (``col``), takes ``d*d`` distinct
+    values: one entry per block, distinct in-block patterns, distinct
+    sub-columns per block row and distinct sub-rows per block column.
+    """
+    if d == 2:
+        exchanged = sigma % d * d + sigma // d
+        return ~_local_mask(sigma, d, 2) & ~_local_mask(exchanged, d, 2)
+    col_block, col_sub = np.divmod(np.arange(d * d), d)
+    row_block, row_sub = np.divmod(sigma, d)
+    # One key at a time keeps a single key table alive.
+    return (
+        _all_distinct(row_block * d + col_block)
+        & _all_distinct(row_sub * d + col_sub)
+        & _all_distinct(row_block * d + col_sub)
+        & _all_distinct(col_block * d + row_sub)
+    )
+
+
+def _classify_outcomes(sigma: np.ndarray, d: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Classify ``(..., D, D)`` outcome tables, one mapping per leading index:
+    the ``(..., D)`` local mask of the outcomes and the ``(...)`` mask of
+    mappings whose every outcome is maximally entangling (``m == 2`` only)."""
+    local = _local_mask(sigma, d, m)
+    if m != 2:
+        return local, np.zeros(sigma.shape[:-2], dtype=bool)
+    return local, _maximal_mask(sigma, d).all(axis=-1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -362,20 +446,21 @@ def classify_mapping(
         matrix = source
     if d is not None and d != matrix.d:
         raise ValueError(f"matrix has subsystem dimension {matrix.d}, not {d}")
-    labels = []
-    maximal = matrix.m == 2
-    for sigma in matrix.outcomes:
-        local = factor_composite(sigma, (matrix.d,) * matrix.m) is not None
-        # A local permutation is never maximally entangling, at any d.
-        maximal = maximal and not local and _maximal_unless_local(sigma, matrix.d)
-        labels.append("local" if local else "entangling")
-    if all(label == "local" for label in labels):
+    sigma = np.array([outcome.mapping for outcome in matrix.outcomes], dtype=np.intp)
+    local, maximal = _classify_outcomes(sigma, matrix.d, matrix.m)
+    return _mapping_class(local, maximal)
+
+
+def _mapping_class(local: np.ndarray, maximal: np.ndarray) -> MappingClass:
+    """The :class:`MappingClass` of one mapping from its outcomes' local mask."""
+    if local.all():
         kind = "local"
-    elif all(label == "entangling" for label in labels):
+    elif not local.any():
         kind = "entangling"
     else:
         kind = "combined"
-    return MappingClass(kind=kind, per_outcome=tuple(labels), maximal=maximal)
+    labels = tuple("local" if flag else "entangling" for flag in local.tolist())
+    return MappingClass(kind=kind, per_outcome=labels, maximal=bool(maximal))
 
 
 @dataclass(frozen=True, slots=True)
@@ -480,7 +565,13 @@ def search_sets(
 
     Returns:
         SearchResult; ``budget_exceeded`` is True when candidates remained.
+
+    Raises:
+        ValueError: an unknown family or objective, a budget below 1, or a
+            bus ``d**m`` above ``MAX_BUS_DIM`` (refused before any candidate
+            is built).
     """
+    check_bus_dim(d, m)
     if objective not in SEARCH_OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}; expected one of {SEARCH_OBJECTIVES}")
     limit = DEFAULT_SEARCH_BUDGET if budget is None else budget
@@ -488,42 +579,56 @@ def search_sets(
         raise ValueError("budget must be positive")
 
     slots = _slot_sets(d, m, family)
-    reports: dict[tuple, ValidityReport] = {}
+    size = d**m
+    # Choice index in the slot product -> combination table, None when
+    # invalid; Alice and Bob walk the same product, so they share it.
+    tables: dict[int, np.ndarray | None] = {}
 
-    def party_report(sets: tuple[OperatorSet, ...]) -> ValidityReport:
-        key = tuple(tuple(member.mapping for member in opset.members) for opset in sets)
-        report = reports.get(key)
-        if report is None:
-            report = reports[key] = validate_interaction_sets(sets, d, m)
-        return report
-
-    def candidate_specs():
-        for alice_choice in _lazy_product(slots, m):
-            for bob_choice in _lazy_product(slots, m):
-                yield alice_choice, bob_choice
+    def party_table(index: int, sets: tuple[OperatorSet, ...]) -> np.ndarray | None:
+        if index not in tables:
+            report = validate_interaction_sets(sets, d, m)
+            tables[index] = report.table if report.valid else None
+        return tables[index]
 
     hits: list[SearchHit] = []
+
+    def classify_batch(alice_sets, alice_table, batch) -> None:
+        """Classify every valid Bob party of one Alice party at once and
+        keep the hits, in Bob order."""
+        bob = np.stack([table for _, table in batch])
+        local, maximal = _classify_outcomes(_outcome_tables(bob[:, :, alice_table[:, 0]]), d, m)
+        keep = {
+            "any-valid": np.ones(len(batch), dtype=bool),
+            "local": local.all(axis=-1),
+            "entangling": ~local.any(axis=-1),
+            "maximal": maximal,
+        }[objective]
+        for i in np.flatnonzero(keep).tolist():
+            spec = InteractionSpec(d=d, m=m, alice_sets=alice_sets, bob_sets=batch[i][0])
+            hits.append(SearchHit(spec=spec, mapping=_mapping_class(local[i], maximal[i])))
+
     examined = 0
     exceeded = False
-    for alice_sets, bob_sets in candidate_specs():
-        if examined >= limit:
-            exceeded = True
+    for a, alice_sets in enumerate(_lazy_product(slots, m)):
+        alice = party_table(a, alice_sets)
+        batch: list[tuple[tuple[OperatorSet, ...], np.ndarray]] = []
+        for b, bob_sets in enumerate(_lazy_product(slots, m)):
+            if examined >= limit:
+                exceeded = True
+                break
+            examined += 1
+            if alice is None:
+                continue
+            bob = party_table(b, bob_sets)
+            if bob is None:
+                continue
+            batch.append((bob_sets, bob))
+            # Bound the batch's outcome tables to DEFAULT_DIMENSION_CAP entries.
+            if len(batch) * size * size >= DEFAULT_DIMENSION_CAP:
+                classify_batch(alice_sets, alice, batch)
+                batch = []
+        if batch:
+            classify_batch(alice_sets, alice, batch)
+        if exceeded:
             break
-        examined += 1
-        alice = party_report(alice_sets)
-        if not alice.valid:
-            continue
-        bob = party_report(bob_sets)
-        if not bob.valid:
-            continue
-        spec = InteractionSpec(d=d, m=m, alice_sets=alice_sets, bob_sets=bob_sets)
-        mapping = classify_mapping(_gather_matrix(d, m, "transfer", alice.table, bob.table))
-        keep = (
-            objective == "any-valid"
-            or (objective == "local" and mapping.kind == "local")
-            or (objective == "entangling" and mapping.kind == "entangling")
-            or (objective == "maximal" and mapping.maximal)
-        )
-        if keep:
-            hits.append(SearchHit(spec=spec, mapping=mapping))
     return SearchResult(hits=tuple(hits), examined=examined, budget_exceeded=exceeded)

@@ -1,7 +1,10 @@
 """Tests for pre-measurement matrices, mapping classification, and search."""
 
+import functools
 import itertools
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from qubus import mappings
@@ -19,6 +22,7 @@ from qubus.catalog import (
     diff_tables,
 )
 from qubus.mappings import (
+    DEFAULT_SEARCH_BUDGET,
     InteractionSpec,
     InvalidInteractionError,
     block_criteria,
@@ -33,6 +37,7 @@ from qubus.mappings import (
 from qubus.perms import (
     OperatorSet,
     Permutation,
+    combined_operators,
     compose,
     enumerate_derangements,
     identity,
@@ -338,3 +343,164 @@ def test_classify_mapping_factors_each_qubit_outcome_at_most_twice(monkeypatch):
         assert len(calls) <= 2 * matrix.size
         assert mapping.per_outcome == hit.mapping.per_outcome == labels
         assert mapping.maximal == hit.mapping.maximal == maximal
+
+
+def exchange_of(p, d):
+    """``exchange o p``: the two digits of every image swapped."""
+    return Permutation(tuple(s % d * d + s // d for s in p.mapping))
+
+
+def test_table_masks_match_per_permutation_oracles_on_two_qubits():
+    table = np.array(list(itertools.permutations(range(4))), dtype=np.intp)
+    local = mappings._local_mask(table, 2, 2)
+    maximal = mappings._maximal_mask(table, 2)
+    for images, is_local, is_maximal in zip(table.tolist(), local, maximal):
+        p = Permutation(tuple(images))
+        assert is_local == (factor_composite(p, (2, 2)) is not None)
+        assert is_maximal == is_maximally_entangling(p, 2)
+    # 4 local products, 4 exchange composites of them, 16 maximal.
+    assert (int(local.sum()), int(maximal.sum())) == (4, 16)
+
+
+def test_table_masks_on_every_two_qutrit_permutation():
+    table = np.array(list(itertools.permutations(range(9))), dtype=np.intp)
+    local = mappings._local_mask(table, 3, 2)
+    maximal = mappings._maximal_mask(table, 3)
+    # Counts of the exhaustive per-permutation reference over all 9!
+    # permutations.  With no false positive among the flagged rows, equal
+    # counts also rule out false negatives.
+    assert (int(local.sum()), int(maximal.sum())) == (36, 72)
+    for images in table[local].tolist():
+        assert factor_composite(Permutation(tuple(images)), (3, 3)) is not None
+    for images in table[maximal].tolist():
+        assert block_criteria(Permutation(tuple(images)), 3) == (True, True, True, True)
+    assert not (local & maximal).any()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_local_mask_on_three_qudits(d):
+    rng = np.random.default_rng(5)
+    size = d**3
+    singles = [Permutation(p) for p in itertools.permutations(range(d))]
+    products = [
+        tuple(a(i) * d * d + b(j) * d + c(k) for i in range(d) for j in range(d) for k in range(d))
+        for a, b, c in itertools.product(singles, repeat=3)
+    ]
+    # A local product with two labels swapped is never local.
+    nearly = []
+    for images in products[:: len(singles)]:
+        s, t = rng.choice(size, 2, replace=False)
+        swapped = list(images)
+        swapped[s], swapped[t] = swapped[t], swapped[s]
+        nearly.append(tuple(swapped))
+    shuffled = [tuple(rng.permutation(size).tolist()) for _ in range(200)]
+    rows = products + nearly + shuffled
+    local = mappings._local_mask(np.array(rows, dtype=np.intp), d, 3)
+    for images, is_local in zip(rows, local):
+        assert is_local == (factor_composite(Permutation(images), (d, d, d)) is not None)
+    assert local[: len(products)].all()
+    assert not local[len(products) : len(products) + len(nearly)].any()
+
+
+@functools.cache
+def reference_candidates(d, family, m=2):
+    """Every candidate of a family in search order, each with its spec and,
+    when both parties are valid, its classification as a
+    ``(kind, per_outcome, maximal)`` triple from factor_composite and
+    block_criteria one outcome at a time."""
+    slots = list(mappings._slot_sets(d, m, family)())
+    size = d**m
+    out = []
+    for alice_sets, bob_sets in itertools.product(itertools.product(slots, repeat=m), repeat=2):
+        spec = InteractionSpec(d=d, m=m, alice_sets=alice_sets, bob_sets=bob_sets)
+        valid = all(validate_interaction_sets(sets, d, m).valid for sets in (alice_sets, bob_sets))
+        if not valid:
+            out.append((spec, None))
+            continue
+        alice, bob = combined_operators(alice_sets), combined_operators(bob_sets)
+        labels, maximal = [], m == 2
+        for label in range(size):
+            images = tuple(
+                next(r for r in range(size) if bob[r](alice[c](0)) == label) for c in range(size)
+            )
+            sigma = Permutation(images)
+            local = factor_composite(sigma, (d,) * m) is not None
+            labels.append("local" if local else "entangling")
+            if d == 2:
+                maximal = maximal and not local and factor_composite(exchange_of(sigma, d), (d, d)) is None
+            else:
+                maximal = maximal and all(block_criteria(sigma, d))
+        kind = "local" if set(labels) == {"local"} else "entangling" if set(labels) == {"entangling"} else "combined"
+        out.append((spec, (kind, tuple(labels), maximal)))
+    return out
+
+
+def reference_search(d, family, objective, budget):
+    candidates = reference_candidates(d, family)
+    limit = DEFAULT_SEARCH_BUDGET if budget is None else budget
+    hits = [
+        (spec, mapping)
+        for spec, mapping in candidates[:limit]
+        if mapping is not None
+        and (
+            objective == "any-valid"
+            or (objective == "local" and mapping[0] == "local")
+            or (objective == "entangling" and mapping[0] == "entangling")
+            or (objective == "maximal" and mapping[2])
+        )
+    ]
+    return hits, min(limit, len(candidates)), limit < len(candidates)
+
+
+@pytest.mark.parametrize(
+    "d, family",
+    [
+        (2, "pairwise+cyclic"),
+        (2, "hv_products"),
+        (3, "hv_products"),
+        (2, "shift_powers"),
+        (3, "shift_powers"),
+        (2, "exhaustive"),
+    ],
+)
+def test_search_matches_per_candidate_reference(d, family):
+    # 100 runs out partway through the second Alice party where a party has
+    # 64 or 81 choices; one short of all candidates runs out within the last.
+    last = len(reference_candidates(d, family)) - 1
+    for objective in ("any-valid", "local", "entangling", "maximal"):
+        for budget in (1, 100, last, None):
+            result = search_sets(d, family, objective, budget=budget)
+            hits, examined, exceeded = reference_search(d, family, objective, budget)
+            assert (result.examined, result.budget_exceeded) == (examined, exceeded)
+            assert [
+                (hit.spec, (hit.mapping.kind, hit.mapping.per_outcome, hit.mapping.maximal))
+                for hit in result.hits
+            ] == hits, (objective, budget)
+
+
+def test_search_batches_flushed_at_the_size_cap_keep_hits_in_order(monkeypatch):
+    # Five 9x9 outcome tables per batch: each Alice party's valid Bob
+    # parties are classified over several batches.
+    monkeypatch.setattr(mappings, "DEFAULT_DIMENSION_CAP", 5 * 81)
+    for objective in ("any-valid", "maximal"):
+        for budget in (100, None):
+            result = search_sets(3, "hv_products", objective, budget=budget)
+            hits, examined, exceeded = reference_search(3, "hv_products", objective, budget)
+            assert (result.examined, result.budget_exceeded) == (examined, exceeded)
+            assert [
+                (hit.spec, (hit.mapping.kind, hit.mapping.per_outcome, hit.mapping.maximal))
+                for hit in result.hits
+            ] == hits
+
+
+def test_search_refuses_oversized_bus_before_building():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="bus dimension 33\\*\\*2 exceeds the limit 1024"):
+            search_sets(33, "hv_products", "any-valid")
+        with pytest.raises(ValueError, match="bus dimension 2\\*\\*11 exceeds the limit 1024"):
+            search_sets(2, "shift_powers", "any-valid", m=11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
